@@ -11,7 +11,8 @@ Usage: ``python3 e2ebench/child.py SPEC.json`` with ``src`` on
 The process imports repro and the modules the command needs, notes the
 time it became ready (``CLOCK_MONOTONIC``, shared with the parent, which
 noted when it spawned the process), runs the command with its stdout
-sent to a file, and writes a JSON report: wall and CPU time of the
+sent to a file, writes a mark to a pipe the parent reads as the pass
+starts and as it ends, and writes a JSON report: wall and CPU time of the
 pass, peak RSS, the probes the parent checks, and, with ``trace``, the
 span aggregates and spans of :mod:`tracer`.
 """
@@ -177,22 +178,22 @@ def main(argv) -> int:
     ready = time.perf_counter()
     os.chdir(spec["dir"])
 
+    # The parent notes when each mark arrives: its own view of the
+    # pass wall time, which the traced run reconciles against.
+    marks = os.fdopen(spec["mark_fd"], "w", buffering=1)
     cpu0 = _cpu_s()
     with open("stdout.txt", "w") as out:
+        marks.write("start\n")
         t0 = time.perf_counter()
-        if tracer is not None:
-            tracer.begin("pass")
-        try:
-            if mode == "serve":
-                _run_cli(spec["argv"], out)
-                result = {}
-            else:
-                result = (_leaderboard if mode == "leaderboard" else _archive)(
-                    spec, probes, out)
-        finally:
-            if tracer is not None:
-                tracer.end()
+        if mode == "serve":
+            _run_cli(spec["argv"], out)
+            result = {}
+        else:
+            result = (_leaderboard if mode == "leaderboard" else _archive)(
+                spec, probes, out)
         t1 = time.perf_counter()
+        marks.write("end\n")
+    marks.close()
     report = {"ready": ready, "t0": t0, "t1": t1, "wall_s": t1 - t0,
               "cpu_s": _cpu_s() - cpu0,
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -6,9 +6,16 @@ span around the call, in the defining module, on every subclass that
 overrides a traced method, and in every loaded ``repro`` module that
 imported the function by name. Spans nest on one stack (the process's
 main thread only), so a span's *self* time is its duration minus the
-time its child spans cover, and the self times of all spans plus the
-root span's own remainder (``unattributed_s``) add up to the root's
-wall time.
+time its child spans cover.
+
+Separately from those aggregates the tracer keeps ``covered_s``, the
+wall time during which at least one span is open, from the moments the
+stack leaves and returns to empty. The time in no span,
+``unattributed_s``, is the pass wall time minus ``covered_s``. The
+runner checks the self times plus ``unattributed_s`` against the pass
+wall time that the parent process observed, and it fails the run if
+any span is still open at the end or a span was closed out of order
+(``mismatched``).
 
 Per name the tracer keeps ``calls``, ``total_s``, ``self_s`` and
 ``busy_s`` (wall time with at least one span of that name open, so
@@ -43,17 +50,25 @@ class Tracer:
         self.events = []       # (name, start_s, dur_s, depth)
         self.max_events = max_events
         self.kernel_stats = []  # KernelStats objects of every EventKernel
+        self.covered_s = 0.0   # wall time with at least one span open
+        self.mismatched = 0    # end() calls that did not close the innermost span
         self._stack = []       # [name, start, child_s]
         self._depth = {}       # name -> open spans of that name
+        self._outer_start = 0.0
         self.thread = threading.get_ident()
 
     def begin(self, name: str) -> None:
-        self._stack.append([name, _now(), 0.0])
+        t = _now()
+        if not self._stack:
+            self._outer_start = t
+        self._stack.append([name, t, 0.0])
         self._depth[name] = self._depth.get(name, 0) + 1
 
-    def end(self) -> float:
+    def end(self, expected: str) -> float:
         t = _now()
         name, start, child = self._stack.pop()
+        if name != expected:
+            self.mismatched += 1
         dur = t - start
         st = self.stats.get(name)
         if st is None:
@@ -67,6 +82,8 @@ class Tracer:
             st[3] += dur
         if self._stack:
             self._stack[-1][2] += dur
+        else:
+            self.covered_s += t - self._outer_start
         if len(self.events) < self.max_events:
             self.events.append((name, start, dur, len(self._stack)))
         return dur
@@ -74,13 +91,13 @@ class Tracer:
     def count(self, name: str, n: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def open_spans(self) -> int:
-        return len(self._stack)
-
     def summary(self) -> dict:
         return {
             "stats": {k: list(v) for k, v in self.stats.items()},
             "counters": dict(self.counters),
+            "covered_s": self.covered_s,
+            "open_spans": len(self._stack),
+            "mismatched": self.mismatched,
             "kernel": {
                 "decision_ticks": sum(s.decision_ticks for s in self.kernel_stats),
                 "fast_forwarded": sum(s.fast_forwarded for s in self.kernel_stats),
@@ -101,7 +118,7 @@ def _wrap_call(tracer: Tracer, name: str, fn, after=None):
         try:
             result = fn(*args, **kwargs)
         finally:
-            tracer.end()
+            tracer.end(name)
         if after is not None:
             after(tracer, args, kwargs, result)
         return result
@@ -127,7 +144,7 @@ class _TracedIter:
         try:
             item = next(self._inner)
         finally:
-            tracer.end()
+            tracer.end(self._name)
         tracer.count(self._rows)
         return item
 
@@ -146,7 +163,7 @@ def _wrap_iter(tracer: Tracer, name: str, fn, after=None):
         try:
             inner = fn(*args, **kwargs)
         finally:
-            tracer.end()
+            tracer.end(name)
         return _TracedIter(tracer, name, inner, row_counter)
 
     return wrapper
@@ -165,14 +182,14 @@ class _TracedContext:
         try:
             return self._inner.__enter__()
         except BaseException:
-            self._tracer.end()
+            self._tracer.end(self._name)
             raise
 
     def __exit__(self, *exc_info):
         try:
             return self._inner.__exit__(*exc_info)
         finally:
-            self._tracer.end()
+            self._tracer.end(self._name)
 
 
 def _wrap_context(tracer: Tracer, name: str, fn, after=None):
@@ -241,10 +258,9 @@ LAYERS = [
     ("harness.cache.fingerprint", "repro.harness.cache", "fingerprint", "call", None),
     ("harness.executor.execute_cells", "repro.harness.executor",
      "execute_cells", "call", _count_cells),
+    # atomic_write_bytes/_text/_json all write through atomic_writer, so
+    # one span per written file.
     ("util.io.atomic_write", "repro.util.io", "atomic_writer", "context", None),
-    ("util.io.atomic_write", "repro.util.io", "atomic_write_bytes", "call", None),
-    ("util.io.atomic_write", "repro.util.io", "atomic_write_text", "call", None),
-    ("util.io.atomic_write", "repro.util.io", "atomic_write_json", "call", None),
 ]
 
 
