@@ -8,13 +8,16 @@ Usage: ``python3 e2ebench/child.py SPEC.json`` with ``src`` on
   windowed ``repro.cli sweep`` on a cold and then a warm result cache;
 * ``serve`` - ``repro.cli serve`` until a client sends ``shutdown``.
 
-The process imports repro and the modules the command needs, notes the
-time it became ready (``CLOCK_MONOTONIC``, shared with the parent, which
-noted when it spawned the process), runs the command with its stdout
-sent to a file, writes a mark to a pipe the parent reads as the pass
-starts and as it ends, and writes a JSON report: wall and CPU time of the
-pass, peak RSS, the probes the parent checks, and, with ``trace``, the
-span aggregates and spans of :mod:`tracer`.
+From its first line the process times a host-speed probe every 25 ms
+(:class:`common.SpeedProbe`). It imports repro and the modules the
+command needs, notes the time it became ready (``CLOCK_MONOTONIC``,
+shared with the parent, which noted when it spawned the process), runs
+the command with its stdout sent to a file, writes a mark to a pipe the
+parent reads as the pass starts and as it ends, and writes a JSON
+report: wall and CPU time of the pass, peak RSS, the probes the parent
+checks, the request latencies as measured and at reference host speed,
+the host-speed probes, and, with ``trace``, the span aggregates and
+spans of :mod:`tracer`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import resource
 import sys
 import time
 
-from common import digest_file, latency_summary
+from common import (HostSpeed, SpeedProbe, digest_file, latency_summary,
+                    scaled_latency_summary)
 
 #: Modules each command imports lazily; importing them here keeps
 #: import time in set-up rather than in the timed pass.
@@ -51,7 +55,7 @@ def _cpu_s() -> float:
 
 
 def _timed_outermost(fn, samples, depth):
-    """Record the duration of each outermost call of ``fn``."""
+    """Record the (start, end) of each outermost call of ``fn``."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -62,7 +66,7 @@ def _timed_outermost(fn, samples, depth):
         finally:
             depth[0] -= 1
             if depth[0] == 0:
-                samples.append(time.perf_counter() - t0)
+                samples.append((t0, time.perf_counter()))
 
     return wrapper
 
@@ -70,7 +74,7 @@ def _timed_outermost(fn, samples, depth):
 class Probes:
     """Always-on, low-cost counters the parent needs on every pass.
 
-    ``samples`` are the durations of the workload's unit request: a
+    ``samples`` are the (start, end) times of the workload's unit request: a
     ``SchedulerEnv.step`` call (leaderboard) or a heuristic
     ``schedule`` decision pass (archive).
     """
@@ -126,7 +130,6 @@ def _run_cli(argv, out) -> None:
 def _leaderboard(spec, probes, out) -> dict:
     _run_cli(spec["argv"], out)
     return {"items": len(probes.samples),
-            "latency": latency_summary(probes.samples),
             "digest": digest_file(spec["leaderboard_json"])}
 
 
@@ -149,7 +152,6 @@ def _archive(spec, probes, out) -> dict:
     with open(spec["warm_json"], "rb") as fh:
         warm_rows = fh.read()
     return {"items": spec["rows"],
-            "latency": latency_summary(probes.samples),
             "rows_scanned": stats.n_records,
             "rows_selected": stats.n_selected,
             "manifest_jobs": manifest_jobs,
@@ -161,6 +163,8 @@ def _archive(spec, probes, out) -> dict:
 
 
 def main(argv) -> int:
+    speed_probe = SpeedProbe()
+    speed_probe.start()
     with open(argv[1]) as fh:
         spec = json.load(fh)
     mode = spec["mode"]
@@ -194,7 +198,13 @@ def main(argv) -> int:
         t1 = time.perf_counter()
         marks.write("end\n")
     marks.close()
+    speed_probe.stop()
+    if probes.samples:
+        speed = HostSpeed(speed_probe.probes)
+        result["latency"] = latency_summary([b - a for a, b in probes.samples])
+        result["latency_scaled"] = scaled_latency_summary(probes.samples, speed)
     report = {"ready": ready, "t0": t0, "t1": t1, "wall_s": t1 - t0,
+              "speed_probes": speed_probe.probes,
               "cpu_s": _cpu_s() - cpu0,
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
               **result}

@@ -10,9 +10,10 @@ One run sets the workload up for ``--seed`` (seeded inputs; for
 them timed), then repeats a pass of a few seconds until ``--seconds``
 have gone, at least :data:`MIN_PASSES` times. Every pass starts from
 fresh stores in a fresh directory, runs in a fresh interpreter, and has
-its outputs checked. The run prints one line per metric (median over
-passes, unit, sample count), the checks, an environment stamp, and as
-its last line the JSON result::
+its outputs checked. Timings are reported at reference host speed
+(:class:`common.HostSpeed`). The run prints one line per metric (median
+over passes, unit, sample count, value as measured), the checks, an
+environment stamp, and as its last line the JSON result::
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -50,7 +51,8 @@ WORK = os.path.join(ROOT, ".e2ebench-work")
 OUT = os.path.join(ROOT, ".e2ebench-out")
 
 sys.path.insert(0, HERE)
-from common import digest_bytes, latency_summary  # noqa: E402
+from common import (HostSpeed, digest_bytes, latency_summary,  # noqa: E402
+                    scaled_latency_summary)
 
 MIN_PASSES = 3
 #: Traced runs: at least this many untraced and this many traced passes.
@@ -181,6 +183,11 @@ class ChildPassWorkload:
         report = finish_child(spawn_child(spec), spec)
         shutil.rmtree(d, ignore_errors=True)
         report["setup_s"] = report["ready"] - spawned
+        speed = HostSpeed(report.pop("speed_probes"))
+        report["scaled"] = {"setup_s": speed.scaled(spawned, report["ready"]),
+                            "wall_s": speed.scaled(report["t0"], report["t1"]),
+                            "latency": report.pop("latency_scaled")}
+        report["host_speed"] = speed.mean_speed(spawned, report["t1"])
         report["checks"] = self.check(report)
         if traced:
             report["trace_processes"] = [trace_process(
@@ -212,7 +219,7 @@ class Archive(ChildPassWorkload):
     mode = "archive"
     item = "archive rows"
     request = "heuristic schedule() decision pass"
-    ROWS = 40_000
+    ROWS = 80_000
     SUBSAMPLE = "0.1"
     WINDOW_JOBS = "250"
 
@@ -330,11 +337,11 @@ class ServeReplay:
                 try:
                     response = super()._request(msg)
                 finally:
-                    dt = time.perf_counter() - t0
+                    t1 = time.perf_counter()
                     if traced:
                         tracer.end("serve.replay.request")
                 if msg.get("op") == "submit":
-                    samples.append(dt)
+                    samples.append((t0, t1))
                     if response.get("ok"):
                         acked[0] += 1
                 return response
@@ -374,10 +381,17 @@ class ServeReplay:
         report = finish_child(proc, spec)
         shutil.rmtree(d, ignore_errors=True)
         served = dumps_metrics(metrics)
+        # The server's probes measure the CPU both processes share
+        # during the pass.
+        speed = HostSpeed(report["speed_probes"])
         result = {
             "setup_s": setup_s, "wall_s": t1 - t0, "t0": t0, "t1": t1,
             "items": acked[0], "attempted": len(samples),
-            "latency": latency_summary(samples),
+            "latency": latency_summary([b - a for a, b in samples]),
+            "scaled": {"setup_s": speed.scaled(spawned, spawned + setup_s),
+                       "wall_s": speed.scaled(t0, t1),
+                       "latency": scaled_latency_summary(samples, speed)},
+            "host_speed": speed.mean_speed(spawned, t1),
             "peak_rss_mb": report["peak_rss_mb"],
             "cpu_s": report["cpu_s"] + client_cpu,
             "digest": digest_bytes(served.encode("utf-8")),
@@ -608,6 +622,23 @@ def run_passes(workload, seconds: float, trace: bool) -> list:
             return results
 
 
+def end_to_end_values(results: list, scaled: bool) -> dict:
+    """Medians over passes of the end-to-end metrics.
+
+    With ``scaled`` the timings are those at reference host speed
+    (``common.HostSpeed``), otherwise as measured.
+    """
+    timings = [r["scaled"] if scaled else r for r in results]
+    return {
+        "items_per_s": statistics.median(r["items"] / t["wall_s"]
+                                         for r, t in zip(results, timings)),
+        "setup_s": statistics.median(t["setup_s"] for t in timings),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
+        "submit_p50_ms": statistics.median(t["latency"]["p50_ms"] for t in timings),
+        "submit_p99_ms": statistics.median(t["latency"]["p99_ms"] for t in timings),
+    }
+
+
 def load_digests() -> dict:
     with open(os.path.join(HERE, "digests.json")) as fh:
         return json.load(fh)
@@ -671,8 +702,8 @@ def main(argv=None) -> int:
     if args.trace:
         metric_specs = bench["per_layer"]
         per_pass = [layer_values(r) for r in traced]
-        overhead = (statistics.median(r["wall_s"] for r in traced)
-                    / statistics.median(r["wall_s"] for r in untraced))
+        overhead = (statistics.median(r["scaled"]["wall_s"] for r in traced)
+                    / statistics.median(r["scaled"]["wall_s"] for r in untraced))
         values = {}
         for spec in metric_specs:
             name = spec["name"]
@@ -697,14 +728,9 @@ def main(argv=None) -> int:
         n_note = f"median of {len(traced)} traced passes"
     else:
         metric_specs = bench["end_to_end"]
-        values = {
-            "items_per_s": statistics.median(r["items"] / r["wall_s"] for r in results),
-            "setup_s": statistics.median(r["setup_s"] for r in results),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
-            "submit_p50_ms": statistics.median(r["latency"]["p50_ms"] for r in results),
-            "submit_p99_ms": statistics.median(r["latency"]["p99_ms"] for r in results),
-        }
-        n_note = f"median of {len(results)} passes"
+        values = end_to_end_values(results, scaled=True)
+        out["metrics_as_measured"] = end_to_end_values(results, scaled=False)
+        n_note = f"median of {len(results)} passes, at reference host speed"
     out["metrics"] = values
 
     print(f"e2ebench {args.workload} seed={args.seed} "
@@ -714,6 +740,10 @@ def main(argv=None) -> int:
     if steal:
         print(f"  host steal share of CPU time during passes: median "
               f"{statistics.median(steal):.1%}, max {max(steal):.1%}")
+    speeds = [r["host_speed"] for r in results]
+    print(f"  host speed against the reference host, mean over each pass: median "
+          f"{statistics.median(speeds):.3f}, min {min(speeds):.3f}, "
+          f"max {max(speeds):.3f}")
     samples = results[0]["latency"]["n"]
     for spec in metric_specs:
         name = spec["name"]
@@ -725,6 +755,8 @@ def main(argv=None) -> int:
             note = f"  n={len(results)} passes of {results[0]['items']} {workload.item}"
         elif not args.trace:
             note = f"  n={len(results)} passes"
+        if not args.trace and name != "peak_rss_mb":
+            note += f"  (as measured: {out['metrics_as_measured'][name]:.6g})"
         print(f"  {name:<44} {values[name]:>14.6g} {spec['unit']}{note}")
     if args.workload == "serve-replay":
         equal = all(r["served_equals_batch"] for r in results)
