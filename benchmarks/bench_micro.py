@@ -563,7 +563,7 @@ def _bench_parallel_sweep(workers: int = 4, n_traces: int = 3) -> dict:
     import tempfile
 
     from repro.harness.cache import ResultCache
-    from repro.harness.parallel import BaselineFactory
+    from repro.harness.executor import BaselineFactory
     from repro.harness.sweeps import sweep_schedulers
 
     scenarios = {

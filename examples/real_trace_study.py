@@ -13,7 +13,7 @@ Swap ``swf_fixture_path()`` for any Parallel Workloads Archive log
 import numpy as np
 
 from repro.harness import TraceBackedScenario, sweep_schedulers
-from repro.harness.parallel import BaselineFactory
+from repro.harness.executor import BaselineFactory
 from repro.harness.tables import format_table
 from repro.sim.platform import Platform
 from repro.workload.generator import generate_trace

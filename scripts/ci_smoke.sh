@@ -60,6 +60,15 @@ step_sweep() {
             --schedulers edf,fifo --traces 2 --max-ticks 120 \
             --workers 2 --cache-dir "$CACHE_DIR"
     done
+    # The evaluate table runs through the same cells: its stdout must
+    # not depend on the worker count.
+    mkdir -p "$TRACE_DIR"
+    for w in 1 2; do
+        python -m repro.cli evaluate --load 0.9 --traces 3 --workers "$w" \
+            > "$TRACE_DIR/evaluate-w$w.txt"
+    done
+    cmp "$TRACE_DIR/evaluate-w1.txt" "$TRACE_DIR/evaluate-w2.txt"
+    echo "sweep smoke: evaluate byte-identical for --workers 1/2"
 }
 
 step_trace() {

@@ -259,7 +259,3 @@ class SchedulerEnv(Env):
                 weight += job.weight if job is not None else 1.0
         self._log_cursor = len(events)
         return count, weight
-
-    # Backwards-compatible alias (the clone helper moved to module level
-    # so EpisodeFactory.build_sim can use it).
-    _clone_job = staticmethod(_clone_job)

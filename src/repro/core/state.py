@@ -110,6 +110,23 @@ class StateEncoder:
         self._table_statics: "weakref.WeakKeyDictionary" = \
             weakref.WeakKeyDictionary()
 
+    def __getstate__(self) -> dict:
+        """Copies and pickles start with cold memo caches: the caches are
+        derived data, and the weak per-table map cannot be pickled (a
+        :class:`~repro.core.agent.DRLScheduler` crossing a ``spawn``
+        process boundary carries its encoder)."""
+        state = dict(self.__dict__)
+        for name in ("_job_cache", "_qrow_cache", "_rrow_cache",
+                     "_span_cache", "_slack_cache"):
+            state[name] = {}
+        state["_speeds_sig"] = None
+        del state["_table_statics"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._table_statics = weakref.WeakKeyDictionary()
+
     @property
     def obs_dim(self) -> int:
         """Total observation length."""

@@ -19,9 +19,18 @@ from repro.harness.library import (
 from repro.harness.results import ResultStore, aggregate_rows
 from repro.harness.tables import format_table, rows_to_csv
 from repro.harness.plots import ascii_line_plot
-from repro.harness.sweeps import evaluate_windowed, sweep_schedulers, sweep_windowed
+from repro.harness.sweeps import (
+    evaluate_grid,
+    evaluate_windowed,
+    sweep_schedulers,
+    sweep_windowed,
+)
 from repro.harness.cache import ResultCache, fingerprint
 from repro.harness.executor import (
+    BaselineFactory,
+    CellFailure,
+    EvalCell,
+    InstanceFactory,
     PoolBackend,
     QueueBackend,
     SerialBackend,
@@ -36,12 +45,6 @@ from repro.harness.leaderboard import (
     PolicyStore,
     StoredPolicyFactory,
     build_leaderboard,
-)
-from repro.harness.parallel import (
-    BaselineFactory,
-    CellFailure,
-    EvalCell,
-    run_cells,
 )
 from repro.harness.stats import (
     MeanCI,
@@ -59,13 +62,13 @@ __all__ = [
     "ResultStore", "aggregate_rows",
     "format_table", "rows_to_csv",
     "ascii_line_plot",
-    "sweep_schedulers", "sweep_windowed", "evaluate_windowed",
+    "sweep_schedulers", "sweep_windowed", "evaluate_windowed", "evaluate_grid",
     "ResultCache", "fingerprint",
     "SerialBackend", "PoolBackend", "QueueBackend",
     "available_cpus", "execute_cells", "make_backend", "queue_worker_loop",
     "AgentSpec", "LeaderboardResult", "PolicyStore", "StoredPolicyFactory",
     "build_leaderboard",
-    "BaselineFactory", "CellFailure", "EvalCell", "run_cells",
+    "BaselineFactory", "CellFailure", "EvalCell", "InstanceFactory",
     "MeanCI", "bootstrap_ci", "paired_permutation_test", "summarize",
     "experiments",
 ]

@@ -13,8 +13,8 @@ by construction, not by bookkeeping.
 
 Entries are JSON files under a two-level directory fan-out
 (``<root>/<key[:2]>/<key>.json``), written atomically (temp file +
-``os.replace``) so concurrent writers — the sharded parallel runner of
-:mod:`repro.harness.parallel` — can share one cache directory safely:
+``os.replace``) so concurrent writers — the executor backends of
+:mod:`repro.harness.executor` — can share one cache directory safely:
 the worst case under a race is recomputing a cell, never corrupting one.
 JSON round-trips Python floats exactly (``repr``-based), so a cache hit
 reproduces the uncached result byte-for-byte.

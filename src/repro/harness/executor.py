@@ -1,20 +1,36 @@
-"""Pluggable executor backends for evaluation-cell grids.
+"""Evaluation cells and the executor backends that run them.
 
-:func:`execute_cells` owns the scheduling/merge logic that used to live
-inside ``run_cells``: probe the :class:`~repro.harness.cache.ResultCache`,
-hand the misses to a *backend*, merge outcomes back in deterministic
-cell order (cell ``i``'s report always lands at index ``i``), and
-persist every successful cell before surfacing the first failure. The
-merged result is therefore independent of the backend, the worker
-count, and the cache hit/miss split — ``workers=N`` byte-identity
-generalizes to ``hosts=N``.
+The evaluation grid every sweep, experiment and CLI table walks
+factorizes into independent *cells*: one scheduler evaluated on one
+reproducible trace of one scenario. Each cell is deterministic given
+its :class:`EvalCell` spec — the trace is regenerated from its seed
+inside the worker and the scheduler is instantiated fresh from its
+factory for every cell — so cells run in any order, on any process,
+and merge back deterministically.
+
+:func:`execute_cells` is the one entry point: probe the
+:class:`~repro.harness.cache.ResultCache`, hand the misses to a
+*backend*, merge outcomes back in deterministic cell order (cell ``i``'s
+report always lands at index ``i``), and persist every successful cell
+before surfacing the first failure. The merged result is therefore
+independent of the backend, the worker count, and the cache hit/miss
+split — ``workers=N`` byte-identity generalizes to ``hosts=N``.
+
+Process backends use the ``spawn`` start method: it is the only start
+method that is safe everywhere (no forked locks, no inherited RNG
+state) and it forces cell specs to be genuinely picklable, which is
+exactly the property that also makes them cacheable. Factories must
+therefore be module-level callables (plain functions,
+:class:`BaselineFactory`, :class:`InstanceFactory`, or any picklable
+callable object) off the serial backend; lambdas and closures still
+work serially.
 
 Three backends:
 
 * :class:`SerialBackend` — in-process loop (the reference ordering);
-* :class:`PoolBackend` — the ``spawn`` process pool, unchanged semantics
-  from the pre-refactor ``run_cells`` (serial fallback for single cells
-  and stdin scripts whose ``__main__`` cannot be re-imported);
+* :class:`PoolBackend` — a ``spawn`` process pool on this machine
+  (serial fallback for single cells and stdin scripts whose
+  ``__main__`` cannot be re-imported);
 * :class:`QueueBackend` — a shared-directory work queue any number of
   worker processes **or hosts** can join (``repro.cli worker``). Cells
   are published as pickled task files named by their cache fingerprint;
@@ -33,32 +49,39 @@ Three backends:
 
 from __future__ import annotations
 
+import copy
 import json
 import multiprocessing as mp
 import os
 import pickle
 import signal
 import socket
+import sys
 import threading
 import time
+import traceback
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.cache import ResultCache, decode_result, encode_result
-from repro.util.io import atomic_write_bytes
-from repro.harness.parallel import (
-    CellFailure,
-    EvalCell,
-    _check_picklable,
-    _failure_error,
-    _run_cell_shielded,
-    _spawn_is_safe,
-    cell_key,
+from repro.harness.cache import (
+    ResultCache,
+    decode_result,
+    encode_result,
+    fingerprint,
 )
+from repro.harness.scenario import Scenario
+from repro.util.io import atomic_write_bytes
 
 __all__ = [
+    "EvalCell",
+    "BaselineFactory",
+    "InstanceFactory",
+    "CellFailure",
+    "cell_key",
+    "run_cell",
     "available_cpus",
     "execute_cells",
     "make_backend",
@@ -79,6 +102,155 @@ BACKEND_NAMES = ("serial", "pool", "queue")
 #: ``(status, payload)`` — ``("ok", report_or_segment)`` or
 #: ``("err", (cell_description, exception_repr, traceback_text))``.
 Outcome = Tuple[str, object]
+
+SchedulerFactory = Callable[[Scenario], object]
+
+
+@dataclass(frozen=True)
+class BaselineFactory:
+    """Picklable factory for one heuristic of the baseline roster.
+
+    Factories written as lambdas cannot cross a ``spawn`` process
+    boundary. This one can — use it (or any module-level callable)
+    whenever ``workers > 1``.
+    """
+
+    name: str
+    platform_choice: str = "best"
+    parallelism: str = "fit"
+    seed: int = 0
+
+    def __call__(self, scenario: Scenario) -> object:
+        from repro.baselines import baseline_roster
+
+        roster = baseline_roster(self.platform_choice, self.parallelism,
+                                 self.seed)
+        if self.name not in roster:
+            raise KeyError(
+                f"unknown baseline {self.name!r}; choose from {sorted(roster)}")
+        return roster[self.name]
+
+
+@dataclass(frozen=True)
+class InstanceFactory:
+    """Picklable factory for a ready-made scheduler (a trained DRL
+    policy, a composed or custom-parameterized heuristic).
+
+    Every call returns a deep copy, so each cell's scheduler starts from
+    the instance's state, whichever backend runs the cell: a pool
+    worker's unpickled copy and the serial path's copy are the same.
+    """
+
+    scheduler: object
+
+    def __call__(self, scenario: Scenario) -> object:
+        return copy.deepcopy(self.scheduler)
+
+
+@dataclass(frozen=True)
+class EvalCell:
+    """One unit of evaluation work: scheduler x scenario x trace seed.
+
+    Fully self-describing and picklable: a worker process reconstructs
+    the trace from ``trace_seed`` and the scheduler from ``factory``, so
+    shipping a cell costs bytes, not simulations.
+    """
+
+    scenario_name: str
+    scenario: Scenario
+    scheduler_name: str
+    factory: SchedulerFactory
+    trace_index: int
+    trace_seed: int
+    max_ticks: int
+
+    def describe(self) -> str:
+        return (f"(scenario={self.scenario_name!r}, "
+                f"scheduler={self.scheduler_name!r}, "
+                f"trace_seed={self.trace_seed})")
+
+
+class CellFailure(RuntimeError):
+    """An evaluation cell raised; carries the cell identity and traceback."""
+
+
+def cell_key(cell: EvalCell) -> str:
+    """Persistent cache key: a fingerprint of everything the result
+    depends on — scenario spec, scheduler name + full parameterization
+    (the *instantiated* scheduler, so a DRL policy's weights are part of
+    the key), trace seed, engine, and tick budget."""
+    policy = cell.factory(cell.scenario)
+    return fingerprint(cell.scenario, cell.scheduler_name, policy,
+                       cell.trace_seed, cell.scenario.engine, cell.max_ticks)
+
+
+def run_cell(cell: EvalCell):
+    """Execute one cell: regenerate the trace, evaluate, report.
+
+    Returns a :class:`~repro.sim.metrics.MetricsReport`. Windowed segment
+    scenarios (anything exposing ``evaluate_segment``, i.e.
+    :class:`~repro.harness.library.TraceWindowScenario`) return a
+    mergeable :class:`~repro.sim.metrics.SegmentMetrics` instead;
+    :func:`~repro.sim.metrics.merge_segments` reduces them across
+    windows.
+    """
+    policy = cell.factory(cell.scenario)
+    evaluate_segment = getattr(cell.scenario, "evaluate_segment", None)
+    if evaluate_segment is not None:
+        return evaluate_segment(policy, cell.trace_seed)
+    from repro.core.training import evaluate_scheduler
+
+    trace = cell.scenario.trace(cell.trace_seed)
+    return evaluate_scheduler(
+        policy, cell.scenario.platforms, [trace],
+        max_ticks=cell.max_ticks, engine=cell.scenario.engine,
+    )[0]
+
+
+def _run_cell_shielded(cell: EvalCell) -> Outcome:
+    """Worker entry point: never raises.
+
+    Exceptions are returned as data (a formatted traceback) rather than
+    pickled across the process boundary — custom exception types may not
+    survive unpickling, and the parent wants the cell identity attached
+    anyway.
+    """
+    try:
+        return "ok", run_cell(cell)
+    except Exception as exc:
+        return "err", (cell.describe(), repr(exc), traceback.format_exc())
+
+
+def _failure_error(outcome: Outcome) -> CellFailure:
+    desc, err, tb = outcome[1]
+    return CellFailure(
+        f"evaluation cell {desc} failed: {err}\n"
+        f"--- worker traceback ---\n{tb}")
+
+
+def _spawn_is_safe() -> bool:
+    """Whether a ``spawn`` child can re-import ``__main__``.
+
+    Scripts piped through stdin (``python - <<EOF``) advertise a
+    ``__main__.__file__`` that does not exist on disk; spawn children
+    would crash on import and the pool would respawn them forever.
+    Detect that case up front and fall back to serial execution.
+    """
+    main_mod = sys.modules.get("__main__")
+    main_file = getattr(main_mod, "__file__", None)
+    return main_file is None or os.path.exists(main_file)
+
+
+def _check_picklable(cells: Sequence[EvalCell]) -> None:
+    for cell in cells:
+        try:
+            pickle.dumps(cell)
+        except Exception as exc:
+            raise ValueError(
+                f"cell {cell.describe()} is not picklable ({exc!r}); "
+                "workers > 1 requires module-level scheduler factories "
+                "(e.g. repro.harness.executor.BaselineFactory), not "
+                "lambdas or closures") from exc
 
 
 def available_cpus() -> int:
@@ -113,8 +285,7 @@ class PoolBackend:
 
     ``workers=None`` resolves to :func:`available_cpus` at run time.
     Single cells, ``workers=1``, and stdin scripts (whose ``__main__``
-    spawn children cannot re-import) fall back to the serial path with
-    the same semantics the pre-backend ``run_cells`` had.
+    spawn children cannot re-import) fall back to the serial backend.
     """
 
     name = "pool"
@@ -563,22 +734,24 @@ def make_backend(
 def execute_cells(
     cells: Sequence[EvalCell],
     backend=None,
-    workers: int = 1,
+    workers: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
 ):
     """Evaluate every cell through a backend; results in cell order.
 
-    The scheduling/merge contract formerly inside ``run_cells``: probe
-    the cache, run only the misses, write every successful result back
+    The one way evaluation cells run. Probe the cache, run only the
+    misses, write every successful result back
     *before* surfacing the first failure (so a retry after fixing one
     bad cell replays the rest from cache), and return cell ``i``'s
     result at index ``i`` regardless of backend, worker count, or
     hit/miss split.
 
     ``backend`` may be a backend instance, a :data:`BACKEND_NAMES`
-    string, or ``None`` — which keeps the legacy dispatch: serial for
-    ``workers == 1``, the spawn pool otherwise.
+    string, or ``None`` — serial for ``workers == 1``, the spawn pool
+    otherwise. ``workers=None`` resolves to :func:`available_cpus`.
     """
+    if workers is None:
+        workers = available_cpus()
     if isinstance(backend, str):
         backend = make_backend(backend, workers=workers)
     if backend is None:

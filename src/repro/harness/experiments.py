@@ -28,9 +28,11 @@ from repro.core import (
     evaluate_scheduler,
     train_scheduler,
 )
+from repro.harness.executor import BaselineFactory, InstanceFactory
 from repro.harness.plots import ascii_line_plot
 from repro.harness.results import Row
 from repro.harness.scenario import Scenario, standard_scenario
+from repro.harness.sweeps import evaluate_grid
 from repro.harness.tables import format_table
 from repro.rl import PPOConfig
 from repro.sim.metrics import MetricsReport
@@ -174,6 +176,11 @@ def _resolve_scenario_arg(scenario) -> Scenario:
     return get_scenario(str(scenario))
 
 
+def _copies(schedulers: Dict[str, object]) -> Dict[str, InstanceFactory]:
+    """Scheduler instances -> per-cell fresh-copy factories."""
+    return {name: InstanceFactory(sched) for name, sched in schedulers.items()}
+
+
 def _mean_metrics(reports: Sequence[MetricsReport]) -> Dict[str, float]:
     return {
         "miss_rate": float(np.mean([r.miss_rate for r in reports])),
@@ -253,16 +260,15 @@ def e02_main_table(
     named = scenario is not None
     scenario = _resolve_scenario_arg(scenario) if named \
         else quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
-    rows: List[Row] = []
-    schedulers: Dict[str, object] = dict(baseline_roster())
+    schedulers: Dict[str, object] = {
+        name: BaselineFactory(name) for name in baseline_roster()}
     if include_drl:
-        schedulers["drl"] = train_drl(scenario, iterations=train_iterations, seed=seed)
-    for name, sched in schedulers.items():
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks,
-                                     workers=workers)
-        rows.append({"scheduler": name, **_mean_metrics(reports)})
+        schedulers["drl"] = InstanceFactory(
+            train_drl(scenario, iterations=train_iterations, seed=seed))
+    grid = evaluate_grid({"main": scenario}, schedulers, n_traces,
+                         workers=workers)
+    rows: List[Row] = [{"scheduler": name, **_mean_metrics(reports)}
+                       for (_, name), reports in grid.items()]
     rows.sort(key=lambda r: r["miss_rate"])
     what = getattr(scenario, "source", "") or f"load={load}" if named \
         else f"load={load}"
@@ -316,17 +322,18 @@ def e03_load_sweep(
         }
     if drl is not None:
         schedulers = {**schedulers, "drl": drl}
+    scenarios = {
+        f"load={load}": dial(load) if dial is not None
+        else quick_scenario(load=load)
+        for load in loads
+    }
+    grid = evaluate_grid(scenarios, _copies(schedulers), n_traces,
+                         workers=workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for load in loads:
-        scenario = dial(load) if dial is not None \
-            else quick_scenario(load=load)
-        traces = scenario.traces(n_traces)
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
-            metrics = _mean_metrics(reports)
+        for name in schedulers:
+            metrics = _mean_metrics(grid[f"load={load}", name])
             rows.append({"load": load, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title="E3: miss rate vs offered load") + "\n\n" + \
@@ -354,16 +361,15 @@ def e04_tightness_sweep(
     }
     if drl is not None:
         schedulers["drl"] = drl
+    scenarios = {f"tightness={scale}": quick_scenario(load=load, tightness=scale)
+                 for scale in scales}
+    grid = evaluate_grid(scenarios, _copies(schedulers), n_traces,
+                         workers=workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for scale in scales:
-        scenario = quick_scenario(load=load, tightness=scale)
-        traces = scenario.traces(n_traces)
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
-            metrics = _mean_metrics(reports)
+        for name in schedulers:
+            metrics = _mean_metrics(grid[f"tightness={scale}", name])
             rows.append({"tightness": scale, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title="E4: miss rate vs deadline tightness") + \
@@ -426,8 +432,6 @@ def e06_heterogeneity(
 ) -> ExperimentOutput:
     """Affinity-aware vs heterogeneity-blind placement."""
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
     schedulers: Dict[str, object] = {
         "edf-aware": EDFScheduler(platform_choice="best"),
         "edf-blind": EDFScheduler(platform_choice="blind"),
@@ -437,12 +441,10 @@ def e06_heterogeneity(
     }
     if drl is not None:
         schedulers["drl"] = drl
-    rows: List[Row] = []
-    for name, sched in schedulers.items():
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks,
-                                     workers=workers)
-        rows.append({"scheduler": name, **_mean_metrics(reports)})
+    grid = evaluate_grid({"main": quick_scenario(load=load)},
+                         _copies(schedulers), n_traces, workers=workers)
+    rows: List[Row] = [{"scheduler": name, **_mean_metrics(reports)}
+                       for (_, name), reports in grid.items()]
     text = format_table(rows, title="E6: heterogeneity awareness")
     return ExperimentOutput("e06_heterogeneity", rows, {}, text, time.time() - t0)
 
@@ -908,7 +910,6 @@ def e15_dag_workloads(
 def e16_extended_baselines(
     loads: Sequence[float] = (0.7, 1.1),
     n_traces: int = 3,
-    drop_on_miss: bool = False,
     workers: int = 1,
 ) -> ExperimentOutput:
     """Backfilling, admission control, and migration vs the core roster.
@@ -928,24 +929,22 @@ def e16_extended_baselines(
     )
 
     t0 = time.time()
+    schedulers: Dict[str, object] = {
+        "fifo": baseline_roster()["fifo"],
+        "easy-backfill": BackfillScheduler(),
+        "edf": EDFScheduler(),
+        "ac(edf)": AdmissionControlScheduler(EDFScheduler()),
+        "greedy-elastic": GreedyElasticScheduler(),
+        "ac(greedy-elastic)": AdmissionControlScheduler(GreedyElasticScheduler()),
+        "migrating-elastic": MigratingElasticScheduler(),
+    }
+    grid = evaluate_grid(
+        {f"load={load}": quick_scenario(load=load) for load in loads},
+        _copies(schedulers), n_traces, workers=workers)
     rows: List[Row] = []
     for load in loads:
-        scenario = quick_scenario(load=load)
-        traces = scenario.traces(n_traces)
-        schedulers: Dict[str, object] = {
-            "fifo": baseline_roster()["fifo"],
-            "easy-backfill": BackfillScheduler(),
-            "edf": EDFScheduler(),
-            "ac(edf)": AdmissionControlScheduler(EDFScheduler()),
-            "greedy-elastic": GreedyElasticScheduler(),
-            "ac(greedy-elastic)": AdmissionControlScheduler(GreedyElasticScheduler()),
-            "migrating-elastic": MigratingElasticScheduler(),
-        }
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         drop_on_miss=drop_on_miss,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
+        for name in schedulers:
+            reports = grid[f"load={load}", name]
             rows.append({
                 "load": load,
                 "scheduler": name,

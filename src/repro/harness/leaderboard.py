@@ -13,8 +13,8 @@ transfer to the others?* This module builds that artifact:
    => same key, so a re-run is a *store hit* and retrains nothing.
 2. **Evaluate every policy against every scenario** — the full
    cross-scenario generalization matrix, fanned out through the sharded
-   parallel runner (:func:`~repro.harness.parallel.run_cells`) as
-   ordinary :class:`~repro.harness.parallel.EvalCell`\\ s, so rows are
+   executor (:func:`~repro.harness.executor.execute_cells`) as
+   ordinary :class:`~repro.harness.executor.EvalCell`\\ s, so rows are
    byte-identical for ``workers`` 1/2/4 and previously computed cells
    come from the persistent :class:`~repro.harness.cache.ResultCache`.
 3. **Rank** — per-scenario mean + bootstrap CI of the primary metric,
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.harness.cache import ResultCache, fingerprint
-from repro.harness.parallel import BaselineFactory, EvalCell, run_cells
+from repro.harness.executor import BaselineFactory, EvalCell, execute_cells
 from repro.harness.scenario import Scenario
 from repro.harness.stats import bootstrap_ci
 from repro.harness.tables import format_table
@@ -452,7 +452,8 @@ def build_leaderboard(
                     trace_seed=base_seed + i,
                     max_ticks=scenario.max_ticks,
                 ))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
+    reports = execute_cells(cells, backend=backend, workers=workers,
+                            cache=cache)
 
     # --- phase 3: aggregate, rank, and measure transfer ------------------
     values: Dict[Tuple[str, str], List[float]] = {}

@@ -1,9 +1,9 @@
 """Generic scheduler-comparison sweeps over paired traces.
 
 The sweep grid is materialized as independent
-:class:`~repro.harness.parallel.EvalCell` specs — one per (scenario,
+:class:`~repro.harness.executor.EvalCell` specs — one per (scenario,
 scheduler, trace seed) — and executed through
-:func:`~repro.harness.parallel.run_cells`, which shards them over a
+:func:`~repro.harness.executor.execute_cells`, which shards them over a
 process pool (``workers > 1``) and/or serves them from a persistent
 :class:`~repro.harness.cache.ResultCache`. Results are merged in cell
 order, so the aggregated rows are byte-identical regardless of worker
@@ -12,19 +12,18 @@ count or cache state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import EvalCell, run_cells
+from repro.harness.executor import EvalCell, SchedulerFactory, execute_cells
 from repro.harness.results import Row, aggregate_rows
 from repro.harness.scenario import Scenario
 
-__all__ = ["sweep_schedulers", "evaluate_windowed", "sweep_windowed"]
+__all__ = ["evaluate_grid", "sweep_schedulers", "evaluate_windowed",
+           "sweep_windowed"]
 
-SchedulerFactory = Callable[[Scenario], object]
 
-
-def sweep_schedulers(
+def evaluate_grid(
     scenarios: Dict[str, Scenario],
     schedulers: Dict[str, SchedulerFactory],
     n_traces: int = 3,
@@ -33,28 +32,31 @@ def sweep_schedulers(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     backend=None,
-) -> List[Row]:
+) -> Dict[Tuple[str, str], list]:
     """Evaluate every scheduler on every scenario over paired traces.
 
-    ``schedulers`` maps name -> factory called per evaluation cell (so
-    trained policies can be injected as constants and heuristics
-    re-instantiated; the per-cell instantiation is what makes cells
-    independent and therefore shardable). Returns aggregated rows: one
-    per (scenario, scheduler) with mean/std of the key metrics over the
-    trace seeds.
+    One :class:`~repro.harness.executor.EvalCell` per (scenario,
+    scheduler, trace seed ``base_seed + i``), all run in one
+    :func:`~repro.harness.executor.execute_cells` call. Returns
+    ``(scenario name, scheduler name) -> [report per trace]`` in grid
+    order (scenario-major, then scheduler).
 
-    ``workers > 1`` shards the cells over a spawn-safe process pool —
-    factories must then be picklable module-level callables (e.g.
-    :class:`~repro.harness.parallel.BaselineFactory`). ``cache`` makes
-    completed cells persistent: re-running a sweep recomputes only the
-    cells whose inputs changed.
+    ``schedulers`` maps name -> factory, called once per cell: every
+    cell's scheduler starts from the same state whatever the backend or
+    worker count. Wrap a ready-made scheduler in
+    :class:`~repro.harness.executor.InstanceFactory` (a fresh copy per
+    cell); roster heuristics can use
+    :class:`~repro.harness.executor.BaselineFactory`. ``workers > 1``
+    shards the cells over a spawn-safe process pool, so factories must
+    then be picklable module-level callables. ``cache`` makes completed
+    cells persistent: a re-run recomputes only the cells whose inputs
+    changed.
 
-    Note on stateful schedulers: because the factory runs per cell, a
-    scheduler that consumes RNG across traces (the ``random`` baseline,
-    stochastic DRL decoding) replays its stream from the seed on every
-    trace instead of continuing it — that is what makes cells
-    order-independent. Deterministic schedulers (the rest of the roster,
-    greedy DRL) are unaffected.
+    A scheduler that consumes RNG across traces (the ``random``
+    baseline, stochastic DRL decoding) therefore replays its stream from
+    the seed on every trace instead of continuing it — that is what
+    makes cells order-independent. Deterministic schedulers (the rest of
+    the roster, greedy DRL) are unaffected.
     """
     cells: List[EvalCell] = []
     for scen_name, scenario in scenarios.items():
@@ -70,19 +72,40 @@ def sweep_schedulers(
                     trace_seed=base_seed + i,
                     max_ticks=ticks,
                 ))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
-    raw: List[Row] = []
+    reports = execute_cells(cells, backend=backend, workers=workers,
+                            cache=cache)
+    grid: Dict[Tuple[str, str], list] = {}
     for cell, rep in zip(cells, reports):
-        raw.append({
-            "scenario": cell.scenario_name,
-            "scheduler": cell.scheduler_name,
-            "trace": cell.trace_index,
-            "miss_rate": rep.miss_rate,
-            "mean_slowdown": rep.mean_slowdown,
-            "mean_tardiness": rep.mean_tardiness,
-            "mean_utilization": rep.mean_utilization,
-            "throughput": rep.throughput,
-        })
+        grid.setdefault((cell.scenario_name, cell.scheduler_name),
+                        []).append(rep)
+    return grid
+
+
+def sweep_schedulers(
+    scenarios: Dict[str, Scenario],
+    schedulers: Dict[str, SchedulerFactory],
+    **kwargs,
+) -> List[Row]:
+    """Aggregated rows of :func:`evaluate_grid`: one per (scenario,
+    scheduler) with mean/std of the key metrics over the trace seeds.
+
+    Keyword arguments, factory rules and the per-cell scheduler-state
+    rule are those of :func:`evaluate_grid`.
+    """
+    grid = evaluate_grid(scenarios, schedulers, **kwargs)
+    raw: List[Row] = []
+    for (scen_name, sched_name), reports in grid.items():
+        for i, rep in enumerate(reports):
+            raw.append({
+                "scenario": scen_name,
+                "scheduler": sched_name,
+                "trace": i,
+                "miss_rate": rep.miss_rate,
+                "mean_slowdown": rep.mean_slowdown,
+                "mean_tardiness": rep.mean_tardiness,
+                "mean_utilization": rep.mean_utilization,
+                "throughput": rep.throughput,
+            })
     return aggregate_rows(
         raw,
         group_by=["scenario", "scheduler"],
@@ -110,7 +133,7 @@ def evaluate_windowed(
     :class:`~repro.harness.library.TraceWindowScenario` cells of at most
     ``window_jobs`` jobs (one streaming planning pass); every
     (scheduler, window) pair becomes an independent
-    :class:`~repro.harness.parallel.EvalCell` streaming only its window,
+    :class:`~repro.harness.executor.EvalCell` streaming only its window,
     so peak memory is bounded by the window size however large the
     archive. Per-window :class:`~repro.sim.metrics.SegmentMetrics` are
     reduced in window order with
@@ -138,7 +161,8 @@ def evaluate_windowed(
                 trace_seed=trace_seed,
                 max_ticks=w.max_ticks,
             ))
-    segments = run_cells(cells, workers=workers, cache=cache, backend=backend)
+    segments = execute_cells(cells, backend=backend, workers=workers,
+                             cache=cache)
     reports: Dict[str, object] = {}
     n = len(windows)
     for i, sched_name in enumerate(schedulers):

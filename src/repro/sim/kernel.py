@@ -57,7 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class KernelStats:
     # Bounded per-kind counters (a long run applies millions of spans;
     # the old per-span list grew without bound).
     span_kind_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def span_kinds(self) -> List[str]:
-        """Flattened kind-per-span list (compat shim over the counters).
-
-        Kinds are grouped by first occurrence rather than span order —
-        the counters no longer retain the sequence.
-        """
-        return [kind for kind, count in self.span_kind_counts.items()
-                for _ in range(count)]
 
     @property
     def total_ticks(self) -> int:

@@ -15,7 +15,7 @@ Layout:
 * :mod:`~repro.workload.fuzz.scenario` — knob vector -> runnable
   :class:`FuzzScenario` (arrival/fault/energy knobs included).
 * :mod:`~repro.workload.fuzz.search` — the generation loop, scored
-  through ``run_cells`` (parallel + cached), checkpointed for resume.
+  through ``execute_cells`` (parallel + cached), checkpointed for resume.
 * :mod:`~repro.workload.fuzz.archive` — the provenance-complete failure
   archive and the ``fuzz/<name>`` resolution hook.
 """

@@ -12,7 +12,7 @@ determine its evaluation results.
 
 Evaluation goes through :meth:`FuzzScenario.evaluate_segment`, the same
 hook :class:`~repro.harness.library.TraceWindowScenario` uses, so
-``run_cells`` picks up the fault injector and energy meter without any
+``execute_cells`` picks up the fault injector and energy meter without any
 change to the executor layer.
 """
 
@@ -106,7 +106,7 @@ class FuzzScenario(Scenario):
     def evaluate_segment(self, policy, trace_seed: int):
         """One trace's :class:`~repro.sim.metrics.MetricsReport`.
 
-        The ``run_cells`` segment hook: evaluates with the fault
+        The evaluation-cell segment hook: evaluates with the fault
         injector (when ``fault_rate > 0``) and energy meter attached,
         fault seed paired by trace seed so every scheduler faces the
         same failures on the same trace.

@@ -9,7 +9,7 @@ trace seeds. Positive gap = the policy loses to a heuristic there; the
 fuzzer climbs toward the candidates where it loses worst.
 
 All evaluation fans out through one
-:func:`~repro.harness.parallel.run_cells` call per generation —
+:func:`~repro.harness.executor.execute_cells` call per generation —
 (candidate x scheduler x trace-seed) cells — so the search parallelizes
 across workers and hosts, hits the persistent
 :class:`~repro.harness.cache.ResultCache`, and inherits the harness's
@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.parallel import BaselineFactory, EvalCell, run_cells
+from repro.harness.executor import BaselineFactory, EvalCell, execute_cells
 from repro.util.io import atomic_write_json
 from repro.workload.fuzz.archive import (
     load_archive,
@@ -147,7 +147,7 @@ def _evaluate_generation(
 ) -> List[str]:
     """Score every not-yet-scored vector; returns this generation's names.
 
-    One ``run_cells`` call covers all (new candidate, scheduler, trace
+    One ``execute_cells`` call covers all (new candidate, scheduler, trace
     seed) cells, so within-generation work saturates the backend.
     """
     scenarios: Dict[str, FuzzScenario] = {}
@@ -176,7 +176,8 @@ def _evaluate_generation(
                     scheduler_name=sched_name, factory=factory,
                     trace_index=t, trace_seed=config.base_seed + t,
                     max_ticks=scenarios[name].max_ticks))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
+    reports = execute_cells(cells, backend=backend, workers=workers,
+                            cache=cache)
     per_sched = len(schedulers) * config.n_traces
     for i, name in enumerate(fresh):
         block = reports[i * per_sched:(i + 1) * per_sched]

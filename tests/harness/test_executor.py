@@ -9,7 +9,7 @@ Acceptance properties pinned here:
 * duplicate claims/completions are idempotent: results are keyed by the
   cell fingerprint and every recompute writes identical bytes;
 * a crash inside a queue worker surfaces in the driver as a
-  :class:`~repro.harness.parallel.CellFailure` carrying the worker
+  :class:`~repro.harness.executor.CellFailure` carrying the worker
   traceback, exactly like the pool backend;
 * the batch is retired after reduction (no queue-directory litter).
 """
@@ -27,7 +27,6 @@ from repro.harness import (
     EvalCell,
     ResultCache,
     Scenario,
-    run_cells,
     standard_scenario,
     sweep_schedulers,
 )
@@ -36,11 +35,13 @@ from repro.harness.executor import (
     QueueBackend,
     SerialBackend,
     _QueueDir,
+    _run_cell_shielded,
     available_cpus,
+    cell_key,
+    execute_cells,
     make_backend,
     queue_worker_loop,
 )
-from repro.harness.parallel import _run_cell_shielded, cell_key
 from repro.workload.classes import JobClass
 from repro.workload.generator import WorkloadConfig
 
@@ -106,12 +107,12 @@ class TestBackendParity:
                                 cache=cache, backend=queue_backend(tmp_path))
         assert cache.stats["misses"] == 4
 
-        import repro.harness.parallel as par
+        import repro.harness.executor as executor
 
         def boom(cell):  # pragma: no cover - would fail the test if called
             raise AssertionError("cell executed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(executor, "_run_cell_shielded", boom)
         warm = sweep_schedulers(scenarios, SCHEDULERS, n_traces=2,
                                 cache=cache, backend=queue_backend(tmp_path))
         assert cache.stats["hits"] == 4
@@ -119,7 +120,7 @@ class TestBackendParity:
 
     def test_queue_directory_retired_after_batch(self, tmp_path):
         backend = queue_backend(tmp_path, workers=1)
-        run_cells(small_cells(1), backend=backend)
+        execute_cells(small_cells(1), backend=backend)
         q = _QueueDir(tmp_path / "q")
         assert not q.batch_path.exists()
         assert list(q.tasks.iterdir()) == []
@@ -129,8 +130,9 @@ class TestBackendParity:
     def test_string_backend_spec_accepted(self):
         cells = small_cells(1)
         assert rows_bytes([r.as_dict() for r in
-                           run_cells(cells, backend="serial")]) == \
-            rows_bytes([r.as_dict() for r in run_cells(cells, workers=1)])
+                           execute_cells(cells, backend="serial")]) == \
+            rows_bytes([r.as_dict() for r in
+                        execute_cells(cells, workers=1)])
 
 
 class TestMakeBackend:
@@ -234,8 +236,8 @@ class TestQueueProtocol:
             q.write_result(key, _run_cell_shielded(cell))
         backend = QueueBackend(queue_dir=tmp_path / "q", workers=0,
                                wait_timeout=5.0, poll=0.01)
-        reports = run_cells(cells, backend=backend)
-        serial = run_cells(cells, workers=1)
+        reports = execute_cells(cells, backend=backend)
+        serial = execute_cells(cells, workers=1)
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in serial]
 
     def test_worker_exits_when_no_batch_published(self, tmp_path):
@@ -245,7 +247,7 @@ class TestQueueProtocol:
         backend = QueueBackend(queue_dir=tmp_path / "q", workers=0,
                                wait_timeout=0.2, poll=0.01)
         with pytest.raises(RuntimeError, match="repro.cli worker"):
-            run_cells(small_cells(1)[:1], backend=backend)
+            execute_cells(small_cells(1)[:1], backend=backend)
 
 
 _SLOW_WORKER_SCRIPT = """\
@@ -342,7 +344,7 @@ class TestQueueFailureModes:
                      0, 1000, 50),
         ]
         with pytest.raises(CellFailure) as excinfo:
-            run_cells(cells, backend=queue_backend(tmp_path, workers=1))
+            execute_cells(cells, backend=queue_backend(tmp_path, workers=1))
         msg = str(excinfo.value)
         assert "scenario='broken'" in msg
         assert "worker traceback" in msg
@@ -355,8 +357,8 @@ class TestQueueFailureModes:
         bad = EvalCell("broken", broken_scenario(), "edf", SCHEDULERS["edf"],
                        0, 1000, 50)
         with pytest.raises(CellFailure):
-            run_cells([good, bad], cache=cache,
-                      backend=queue_backend(tmp_path, workers=1))
+            execute_cells([good, bad], cache=cache,
+                          backend=queue_backend(tmp_path, workers=1))
         assert cache.get(cell_key(good)) is not None
         assert cache.get(cell_key(bad)) is None
 

@@ -2,12 +2,14 @@
 
 The acceptance properties of the parallel subsystem:
 
-* aggregated sweep rows are byte-identical for workers in {1, 2, 4};
+* aggregated sweep rows are byte-identical for workers in {1, 2, 4},
+  and so are the ``repro.cli evaluate`` table and the e02 rows, which
+  run through the same cells;
 * the cache serves hits across runs, recomputes on any input change
   (invalidation is by key construction), and a warm cache executes zero
   cells;
 * a crash inside a worker surfaces in the parent as a
-  :class:`~repro.harness.parallel.CellFailure` naming the cell;
+  :class:`~repro.harness.executor.CellFailure` naming the cell;
 * unpicklable factories are rejected up front with a clear error when
   ``workers > 1`` (they remain fine serially).
 """
@@ -25,12 +27,12 @@ from repro.harness import (
     EvalCell,
     ResultCache,
     Scenario,
+    execute_cells,
     fingerprint,
-    run_cells,
     standard_scenario,
     sweep_schedulers,
 )
-from repro.harness.parallel import cell_key
+from repro.harness.executor import cell_key
 from repro.workload.classes import JobClass
 from repro.workload.generator import WorkloadConfig
 
@@ -80,11 +82,54 @@ class TestParallelMatchesSerial:
                      trace_index=i, trace_seed=1000 + i, max_ticks=80)
             for name in ("edf", "fifo") for i in range(2)
         ]
-        serial = run_cells(cells, workers=1)
-        parallel = run_cells(cells, workers=2)
+        serial = execute_cells(cells, workers=1)
+        parallel = execute_cells(cells, workers=2)
         assert [r.miss_rate for r in serial] == [r.miss_rate for r in parallel]
         assert [r.mean_slowdown for r in serial] == \
             [r.mean_slowdown for r in parallel]
+
+    @pytest.mark.parametrize("surface", ["evaluate-cli", "e02-rows"])
+    def test_table_byte_identical_across_worker_counts(self, surface, capsys):
+        """Every scheduler instance is copied per cell, so the stateful
+        ``random`` baseline replays the same stream on every backend."""
+        from repro.cli import main
+        from repro.harness.experiments import e02_main_table
+
+        outputs = []
+        for workers in (1, 2):
+            if surface == "evaluate-cli":
+                assert main(["evaluate", "--load", "0.9", "--traces", "3",
+                             "--workers", str(workers)]) == 0
+                outputs.append(capsys.readouterr().out)
+            else:
+                rows = e02_main_table(include_drl=False, n_traces=3,
+                                      workers=workers).rows
+                outputs.append(rows_bytes(rows))
+        assert "random" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+    def test_drl_instance_factory_crosses_the_pool(self):
+        """A used DRL scheduler (warm encoder caches) pickles, and its
+        per-cell copies give the same rows on every backend."""
+        from repro.core import DRLScheduler
+        from repro.core.training import evaluate_scheduler
+        from repro.harness import InstanceFactory
+        from repro.rl.policies import CategoricalPolicy
+
+        scenario = small_scenario()
+        env = scenario.eval_env(scenario.traces(1), seed=0)
+        policy = CategoricalPolicy.for_sizes(
+            env.encoder.obs_dim, env.actions.n, (16,),
+            np.random.default_rng(0))
+        sched = DRLScheduler(policy, scenario.core,
+                             [p.name for p in scenario.platforms], greedy=True)
+        evaluate_scheduler(sched, scenario.platforms, [scenario.trace(7)],
+                           max_ticks=40)
+        schedulers = {"drl": InstanceFactory(sched)}
+        serial = sweep_schedulers({"base": scenario}, schedulers, n_traces=2)
+        pooled = sweep_schedulers({"base": scenario}, schedulers, n_traces=2,
+                                  workers=2)
+        assert rows_bytes(serial) == rows_bytes(pooled)
 
     def test_lambda_factories_still_work_serially(self):
         rows = sweep_schedulers({"base": small_scenario()},
@@ -99,7 +144,7 @@ class TestParallelMatchesSerial:
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
-            run_cells([], workers=0)
+            execute_cells([], workers=0)
 
 
 class TestCache:
@@ -112,12 +157,12 @@ class TestCache:
         assert len(cache) == 4
 
         # Warm run: every cell served from disk, no simulation executed.
-        import repro.harness.parallel as par
+        import repro.harness.executor as executor
 
         def boom(cell):  # pragma: no cover - would fail the test if called
             raise AssertionError("cell executed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(executor, "_run_cell_shielded", boom)
         rows_warm = sweep_schedulers(scenarios, SCHEDULERS, n_traces=2,
                                      cache=cache)
         assert cache.stats["hits"] == 4
@@ -173,7 +218,7 @@ class TestCache:
         scenario = small_scenario()
         cell = EvalCell("s", scenario, "edf", SCHEDULERS["edf"], 0, 1000, 80)
         key = cell_key(cell)
-        run_cells([cell], cache=cache)
+        execute_cells([cell], cache=cache)
         path = cache._path(key)
         assert path.exists()
         path.write_text("{not json")
@@ -181,8 +226,9 @@ class TestCache:
 
     def test_clear_removes_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_cells([EvalCell("s", small_scenario(), "edf", SCHEDULERS["edf"],
-                            0, 1000, 80)], cache=cache)
+        execute_cells([EvalCell("s", small_scenario(), "edf",
+                                SCHEDULERS["edf"], 0, 1000, 80)],
+                      cache=cache)
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
@@ -252,7 +298,7 @@ class TestCrashSurfacing:
         cells = [EvalCell("broken", broken_scenario(), "edf",
                           SCHEDULERS["edf"], 0, 1000, 50)]
         with pytest.raises(CellFailure, match="scenario='broken'"):
-            run_cells(cells, workers=1)
+            execute_cells(cells, workers=1)
 
     def test_worker_crash_names_the_cell_and_carries_traceback(self):
         # Two cells so the pool path is exercised (one healthy, one broken).
@@ -263,7 +309,7 @@ class TestCrashSurfacing:
                      0, 1000, 50),
         ]
         with pytest.raises(CellFailure) as excinfo:
-            run_cells(cells, workers=2)
+            execute_cells(cells, workers=2)
         msg = str(excinfo.value)
         assert "scenario='broken'" in msg
         assert "worker traceback" in msg
@@ -279,6 +325,6 @@ class TestCrashSurfacing:
         bad = EvalCell("broken", broken_scenario(), "edf", SCHEDULERS["edf"],
                        0, 1000, 50)
         with pytest.raises(CellFailure):
-            run_cells([good, bad], workers=1, cache=cache)
+            execute_cells([good, bad], workers=1, cache=cache)
         assert len(cache) == 1
         assert cache.get(cell_key(good)) is not None

@@ -32,7 +32,7 @@ from repro.harness import (
     evaluate_windowed,
     sweep_windowed,
 )
-from repro.harness.parallel import EvalCell, cell_key, run_cells
+from repro.harness.executor import EvalCell, cell_key
 from repro.sim.metrics import SegmentMetrics, compute_metrics, merge_segments
 from repro.harness.scenario import standard_scenario
 from repro.workload.traces import (
@@ -236,12 +236,12 @@ class TestSegmentPayload:
         cold = evaluate_windowed(path, {"edf": EDF}, 7, cache=cache)
         assert cache.stats["hits"] == 0 and cache.stats["misses"] > 0
 
-        import repro.harness.parallel as par
+        import repro.harness.executor as executor
 
         def boom(cell):  # pragma: no cover - would fail the test if called
             raise AssertionError("segment recomputed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(executor, "_run_cell_shielded", boom)
         warm = evaluate_windowed(path, {"edf": EDF}, 7, cache=cache)
         assert cache.stats["hits"] == cache.stats["misses"]
         assert warm["edf"] == cold["edf"]

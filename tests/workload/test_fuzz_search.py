@@ -7,7 +7,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.library import get_scenario
-from repro.harness.parallel import BaselineFactory
+from repro.harness.executor import BaselineFactory
 from repro.workload.fuzz import (
     FuzzConfig,
     FuzzScenario,
